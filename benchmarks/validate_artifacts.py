@@ -6,7 +6,7 @@ importable, testable, and usable locally::
     PYTHONPATH=src python benchmarks/validate_artifacts.py bench bench-out
     PYTHONPATH=src python benchmarks/validate_artifacts.py cache-rerun \\
         bench-cold/BENCH_fig9_delay_cdf.json \\
-        bench-warm/BENCH_fig9_delay_cdf.json
+        bench-warm/BENCH_fig9_delay_cdf.json --max-hit-ratio 0.25
     PYTHONPATH=src python benchmarks/validate_artifacts.py service-load \\
         bench-out/BENCH_service_load.json
     PYTHONPATH=src python benchmarks/validate_artifacts.py trace \\
@@ -16,7 +16,9 @@ importable, testable, and usable locally::
 ``bench`` checks every ``BENCH_*.json`` under a directory against the
 bench payload schema.  ``cache-rerun`` checks a cold/warm pair of runs
 against a shared profile cache: the cold run must miss, the warm run
-must hit without a single miss or invalidation.  ``service-load``
+must hit without a single miss or invalidation; ``--max-hit-ratio R``
+also fails when the warm run's ``profiles.cache.hit_s`` exceeds R times
+the cold run's ``profiles.cache.compute_s``.  ``service-load``
 checks the query-service load harness record: single-flight coalescing
 (exactly one computation for the concurrent burst, ratio >= 7/8),
 byte-identical responses, at least one ``429`` shed under saturation,
@@ -121,12 +123,35 @@ def _counters(payload: Dict[str, object], path: pathlib.Path) -> Dict[str, int]:
     return metrics["counters"]
 
 
+def _timer_wall_sum(
+    payload: Dict[str, object], path: pathlib.Path, name: str
+) -> float:
+    """Total wall seconds of timer ``name`` in a bench payload."""
+    metrics = payload.get("metrics")
+    timers = metrics.get("timers") if isinstance(metrics, dict) else None
+    timer = timers.get(name) if isinstance(timers, dict) else None
+    total = timer.get("wall_sum") if isinstance(timer, dict) else None
+    if not isinstance(total, (int, float)) or isinstance(total, bool):
+        raise ValidationError(f"{path}: no {name} timer recorded")
+    return float(total)
+
+
 def validate_cache_rerun(
-    cold_path: pathlib.Path, warm_path: pathlib.Path
+    cold_path: pathlib.Path,
+    warm_path: pathlib.Path,
+    max_hit_ratio: Optional[float] = None,
 ) -> List[str]:
-    """Check a cold/warm bench pair sharing one profile cache."""
-    cold = _counters(_load(cold_path), cold_path)
-    warm = _counters(_load(warm_path), warm_path)
+    """Check a cold/warm bench pair sharing one profile cache.
+
+    ``max_hit_ratio`` additionally bounds what the warm run's cache hits
+    cost against what the cold run's misses spent computing:
+    ``profiles.cache.hit_s`` (warm) over ``profiles.cache.compute_s``
+    (cold), both summed wall seconds.
+    """
+    cold_payload = _load(cold_path)
+    warm_payload = _load(warm_path)
+    cold = _counters(cold_payload, cold_path)
+    warm = _counters(warm_payload, warm_path)
     if cold.get("profiles.cache.miss", 0) <= 0:
         raise ValidationError(
             f"{cold_path}: cold run recorded no cache misses: {cold}"
@@ -143,10 +168,28 @@ def validate_cache_rerun(
         raise ValidationError(
             f"{warm_path}: warm run invalidated cache entries: {warm}"
         )
-    return [
+    lines = [
         f"cold run misses: {cold['profiles.cache.miss']}",
         f"warm run hits:   {warm['profiles.cache.hit']}",
     ]
+    if max_hit_ratio is not None:
+        hit_s = _timer_wall_sum(warm_payload, warm_path, "profiles.cache.hit_s")
+        compute_s = _timer_wall_sum(
+            cold_payload, cold_path, "profiles.cache.compute_s"
+        )
+        if compute_s <= 0.0:
+            raise ValidationError(
+                f"{cold_path}: profiles.cache.compute_s is {compute_s}"
+            )
+        ratio = hit_s / compute_s
+        line = (
+            f"hit/compute:     {ratio:.4f} (warm hits {hit_s:.4f} s / "
+            f"cold compute {compute_s:.4f} s; max {max_hit_ratio})"
+        )
+        if ratio > max_hit_ratio:
+            raise ValidationError(f"cache hits cost too much: {line}")
+        lines.append(line)
+    return lines
 
 
 def validate_service_load(path: pathlib.Path) -> List[str]:
@@ -553,6 +596,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     rerun.add_argument("cold", type=pathlib.Path)
     rerun.add_argument("warm", type=pathlib.Path)
+    rerun.add_argument(
+        "--max-hit-ratio", type=float, default=None, metavar="R",
+        help="fail when the warm run's cache-hit seconds exceed R times "
+        "the cold run's compute seconds",
+    )
     service = sub.add_parser(
         "service-load", help="validate the service load harness record"
     )
@@ -624,7 +672,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "bench":
             lines = validate_bench_dir(args.out_dir)
         elif args.command == "cache-rerun":
-            lines = validate_cache_rerun(args.cold, args.warm)
+            lines = validate_cache_rerun(
+                args.cold, args.warm, max_hit_ratio=args.max_hit_ratio
+            )
         elif args.command == "trace":
             lines = validate_trace_export(
                 args.artifact,

@@ -16,8 +16,11 @@ trusted: :func:`repro.core.storage.load_profiles` re-verifies the
 embedded trace digest on every load.
 
 Cache traffic is observable: counters ``profiles.cache.hit`` /
-``.miss`` / ``.invalid`` / ``.evict`` and the ``cache.load_or_compute``
-span land in the active :mod:`repro.obs` bundle.
+``.miss`` / ``.invalid`` / ``.evict``, the timers
+``profiles.cache.hit_s`` (a successful load) and
+``profiles.cache.compute_s`` (the computation a miss pays), and the
+``cache.load_or_compute`` span land in the active :mod:`repro.obs`
+bundle — the two timers put a hit's cost next to a recompute's.
 
 Bounded mode: pass ``max_bytes`` to cap the directory's total size.
 Hits refresh an entry's mtime, so eviction (oldest mtime first) is LRU.
@@ -34,6 +37,7 @@ import hashlib
 import json
 import os
 import threading
+import time
 from pathlib import Path
 from typing import Collection, Iterable, Optional, Union
 
@@ -181,6 +185,7 @@ def load_or_compute(
         "cache.load_or_compute", key=key[:16], path=str(path)
     ) as span:
         if path.exists():
+            wall0, cpu0 = time.perf_counter(), time.process_time()
             try:
                 profiles = load_profiles(path, network)
             except (ValueError, KeyError, OSError) as exc:
@@ -190,6 +195,9 @@ def load_or_compute(
                 if obs.enabled:
                     span.set(outcome="invalid", error=repr(exc))
             else:
+                obs.metrics.timer("profiles.cache.hit_s").record(
+                    time.perf_counter() - wall0, time.process_time() - cpu0
+                )
                 obs.metrics.counter("profiles.cache.hit").inc()
                 if obs.enabled:
                     span.set(outcome="hit")
@@ -203,15 +211,16 @@ def load_or_compute(
             if obs.enabled:
                 span.set(outcome="miss")
         obs.metrics.counter("profiles.cache.miss").inc()
-        profiles = compute_profiles(
-            network,
-            hop_bounds=hop_bounds,
-            sources=sources,
-            max_rounds=max_rounds,
-            slack=slack,
-            workers=workers,
-            engine=engine,
-        )
+        with obs.metrics.timer("profiles.cache.compute_s"):
+            profiles = compute_profiles(
+                network,
+                hop_bounds=hop_bounds,
+                sources=sources,
+                max_rounds=max_rounds,
+                slack=slack,
+                workers=workers,
+                engine=engine,
+            )
         path.parent.mkdir(parents=True, exist_ok=True)
         # The temp name must keep the .npz suffix: np.savez appends one
         # to any other extension, breaking the final os.replace.

@@ -146,10 +146,9 @@ def _execute_chunk(
     if task["engine"] == "vec":
         # The whole chunk runs as one lockstep batch — per-round kernel
         # overhead is paid once per batch round, not once per source —
-        # and ships back *raw* rank arrays (a handful of numpy buffers)
-        # instead of materialised profile objects; pickling tens of
-        # thousands of Python floats per chunk would cost more than the
-        # DP itself.  The supervisor materialises via
+        # and ships back *raw* rank arrays (a handful of numpy buffers);
+        # the supervisor turns them into profile columns with one
+        # ``time_table`` gather via
         # :func:`~repro.core.engine_vec.profiles_from_raw`.
         out.extend(
             zip(
@@ -168,8 +167,8 @@ def _execute_chunk(
                 (
                     sid,
                     _run_single_source(
-                        adjacency, csr.nodes[sid], bounds, max_rounds, slack,
-                        collect,
+                        adjacency, csr.nodes, csr.node_index, csr.nodes[sid],
+                        bounds, max_rounds, slack, collect,
                     ),
                 )
             )
@@ -403,12 +402,12 @@ class SharedCSRPool:
         if engine == "vec":
             from .engine_vec import profiles_from_raw
 
-            materialised = profiles_from_raw(
+            columnar = profiles_from_raw(
                 csr, [by_id[sid] for sid in source_ids], hop_bounds
             )
             return {
                 csr.nodes[sid]: prof
-                for sid, prof in zip(source_ids, materialised)
+                for sid, prof in zip(source_ids, columnar)
             }
         return {csr.nodes[sid]: by_id[sid] for sid in source_ids}
 

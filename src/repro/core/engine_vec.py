@@ -70,9 +70,8 @@ import numpy as np
 from ..obs import get_obs
 from .contact import Node
 from .csr import CSRNetwork
-from .delivery import DeliveryFunction
 from .floats import is_pinned_zero
-from .optimal import ProfileStats, SourceProfiles
+from .optimal import FINAL_TAG, ProfileStats, SourceProfiles
 
 __all__ = [
     "run_single_source_vec",
@@ -171,54 +170,62 @@ def profiles_from_raw(
     raws: List[RawProfile],
     hop_bounds: Tuple[int, ...],
 ) -> List[SourceProfiles]:
-    """Materialise :class:`SourceProfiles` from compact rank payloads.
+    """Columnar :class:`SourceProfiles` from compact rank payloads.
 
-    This is the only place the vectorized pipeline touches Python
-    floats: every LD/EA is a float64 copied verbatim from the CSR's
-    ``time_table``, bit-identical to the scalar engine's values.  In
+    Every payload part (a source's final profile or one snapshot) is
+    already a block of (dest, count, LD rank, EA rank) columns, so the
+    whole batch is one concatenation per column plus one ``time_table``
+    gather — each LD/EA a float64 copied verbatim from the table,
+    bit-identical to the scalar engine's values — and each source gets
+    views of its rows.  No per-function Python work happens here; the
+    per-pair objects are built lazily by :class:`SourceProfiles`.  In
     the worker pool the supervisor calls this on payloads shipped back
     from workers; in-process it runs right after the DP.
     """
+    if not raws:
+        return []
     nodes = csr.nodes
     time_table = csr.time_table
-
-    def functions(points: _POINTS) -> Dict[Node, DeliveryFunction]:
-        dests, counts, ld_ranks, ea_ranks = points
-        lds = time_table[ld_ranks].tolist()
-        eas = time_table[ea_ranks].tolist()
-        out: Dict[Node, DeliveryFunction] = {}
-        pos = 0
-        # Direct-slot construction (list slices are fresh lists the
-        # function can own) — ``_function_from_lists`` would copy each
-        # pair of lists a second time, and with tens of thousands of
-        # destinations per batch that copy shows up in profiles.
-        new = DeliveryFunction.__new__
-        for dest, count in zip(dests.tolist(), counts.tolist()):
-            stop = pos + count
-            func = new(DeliveryFunction)
-            func.lds = lds[pos:stop]
-            func.eas = eas[pos:stop]
-            out[nodes[dest]] = func
-            pos = stop
-        return out
-
-    profiles: List[SourceProfiles] = []
+    part_tags: List[int] = []
+    parts: List[_POINTS] = []
+    source_parts: List[int] = []
     for raw in raws:
-        snapshots: Dict[int, Dict[Node, DeliveryFunction]] = {
-            bound: {} for bound in hop_bounds
-        }
-        for bound, points in raw["snaps"].items():
-            snapshots[bound] = functions(points)
+        snaps = raw["snaps"]
+        part_tags.append(FINAL_TAG)
+        parts.append(raw["final"])
+        for bound in sorted(snaps):
+            part_tags.append(bound)
+            parts.append(snaps[bound])
+        source_parts.append(len(parts))
+    part_sizes = np.fromiter((p[0].size for p in parts), np.int64, len(parts))
+    tags = np.repeat(np.asarray(part_tags, dtype=np.int32), part_sizes)
+    dests = np.concatenate([p[0] for p in parts]).astype(np.int32)
+    offsets = np.zeros(tags.size + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([p[1] for p in parts]), out=offsets[1:])
+    lds = time_table[np.concatenate([p[2] for p in parts])]
+    eas = time_table[np.concatenate([p[3] for p in parts])]
+    func_bounds = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum(part_sizes, out=func_bounds[1:])
+    profiles: List[SourceProfiles] = []
+    lo = 0
+    for raw, stop_part in zip(raws, source_parts):
+        hi = int(func_bounds[stop_part])
+        p0, p1 = int(offsets[lo]), int(offsets[hi])
         profiles.append(
             SourceProfiles(
                 nodes[raw["source"]],
                 hop_bounds,
-                snapshots,
-                functions(raw["final"]),
+                nodes,
+                tags[lo:hi],
+                dests[lo:hi],
+                offsets[lo : hi + 1] - p0,
+                lds[p0:p1],
+                eas[p0:p1],
                 raw["rounds"],
                 raw["stats"],
             )
         )
+        lo = hi
     return profiles
 
 

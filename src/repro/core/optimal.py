@@ -37,7 +37,10 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..obs import MetricsRegistry, get_obs
 from .contact import Node
@@ -74,6 +77,16 @@ def _build_adjacency(net: TemporalNetwork) -> _Adjacency:
         if entries:
             adjacency[u] = entries
     return adjacency
+
+
+def _node_index_for(net: TemporalNetwork) -> Dict[Node, int]:
+    """Node -> position in ``net.nodes``: the destination ids of the
+    profile columns (cached on the network like its adjacency)."""
+    cached: Optional[Dict[Node, int]] = getattr(net, "_repro_node_index", None)
+    if cached is None:
+        cached = {node: i for i, node in enumerate(net.nodes)}
+        setattr(net, "_repro_node_index", cached)
+    return cached
 
 
 def _adjacency_for(net: TemporalNetwork) -> _Adjacency:
@@ -160,32 +173,161 @@ def _record_profile_metrics(
         metrics.counter("optimal.frontier_displacements", hop=hop).inc(n)
 
 
+#: bound tag of a final (unbounded-hop) function in the profile columns;
+#: recorded hop bounds are >= 1, so the tags of one source sort finals
+#: first, then each recorded bound ascending.
+FINAL_TAG = -1
+
+
 class SourceProfiles:
     """Delivery functions from one source to every destination.
 
     Obtained from :func:`compute_profiles`; answers ``profile(d, max_hops)``
     for any recorded hop bound and for unbounded hops (``max_hops=None``).
+
+    The profiles are stored as columns, one row per delivery function:
+    ``tags[i]`` is :data:`FINAL_TAG` or the recorded hop bound whose
+    snapshot the function belongs to, ``dests[i]`` indexes ``roster``
+    (the network's repr-sorted node list), and the function's Pareto
+    points are ``lds[offsets[i]:offsets[i + 1]]`` /
+    ``eas[offsets[i]:offsets[i + 1]]`` (float64).  Rows are sorted by
+    (tag, destination id): the final functions first, then each recorded
+    bound's snapshot — the destinations that gained a point in exactly
+    that round.  Segment tables and storage read the columns directly;
+    :class:`~repro.core.delivery.DeliveryFunction` objects are built for
+    the per-pair APIs only, in bulk on first access, and then kept.
     """
 
     def __init__(
         self,
         source: Node,
         hop_bounds: Tuple[int, ...],
-        snapshots: Dict[int, Dict[Node, DeliveryFunction]],
-        final: Dict[Node, DeliveryFunction],
+        roster: Sequence[Node],
+        tags: np.ndarray,
+        dests: np.ndarray,
+        offsets: np.ndarray,
+        lds: np.ndarray,
+        eas: np.ndarray,
         rounds: int,
         stats: Optional[ProfileStats] = None,
     ) -> None:
         self.source = source
         self.hop_bounds = hop_bounds
-        self._snapshots = snapshots
-        self._final = final
+        self.roster = roster
+        self.tags = tags
+        self.dests = dests
+        self.offsets = offsets
+        self.lds = lds
+        self.eas = eas
         #: number of DP rounds to fixpoint == largest hop count over which
         #: any optimal path improves; small by the paper's main result.
         self.rounds = rounds
         #: work counters when the run was observed (else None).
         self.stats = stats
         self._empty = DeliveryFunction()
+        # The per-pair view, built by _materialise.  ``_snap_funcs`` is
+        # published before ``_final_funcs``, so a non-None final map
+        # implies a complete view even under concurrent first access.
+        self._snap_funcs: Dict[int, Dict[Node, DeliveryFunction]] = {}
+        self._final_funcs: Optional[Dict[Node, DeliveryFunction]] = None
+
+    @classmethod
+    def from_functions(
+        cls,
+        source: Node,
+        hop_bounds: Tuple[int, ...],
+        roster: Sequence[Node],
+        node_index: Dict[Node, int],
+        snapshots: Dict[int, Dict[Node, DeliveryFunction]],
+        final: Dict[Node, DeliveryFunction],
+        rounds: int,
+        stats: Optional[ProfileStats] = None,
+    ) -> "SourceProfiles":
+        """Columns from per-destination function maps (the scalar DP's
+        output).  The maps are kept as the already-built per-pair view."""
+        rows: List[Tuple[int, int, DeliveryFunction]] = [
+            (FINAL_TAG, node_index[d], f) for d, f in final.items()
+        ]
+        for bound in sorted(snapshots):
+            rows.extend((bound, node_index[d], f) for d, f in snapshots[bound].items())
+        rows.sort(key=lambda row: (row[0], row[1]))
+        counts = np.fromiter((len(f.lds) for _, _, f in rows), np.int64, len(rows))
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        total = int(offsets[-1])
+        sp = cls(
+            source,
+            hop_bounds,
+            roster,
+            np.fromiter((row[0] for row in rows), np.int32, len(rows)),
+            np.fromiter((row[1] for row in rows), np.int32, len(rows)),
+            offsets,
+            np.fromiter(chain.from_iterable(f.lds for _, _, f in rows), np.float64, total),
+            np.fromiter(chain.from_iterable(f.eas for _, _, f in rows), np.float64, total),
+            rounds,
+            stats,
+        )
+        full: Dict[int, Dict[Node, DeliveryFunction]] = {
+            bound: {} for bound in hop_bounds
+        }
+        full.update(snapshots)
+        sp._snap_funcs = full
+        sp._final_funcs = final
+        return sp
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Ship the columns only: the per-pair view is rebuilt on demand.
+        state = dict(self.__dict__)
+        state["_snap_funcs"] = {}
+        state["_final_funcs"] = None
+        return state
+
+    def _materialise(self) -> Dict[Node, DeliveryFunction]:
+        """Build the per-pair view from the columns in one pass.
+
+        Every LD/EA is a contact time, and a source's points repeat the
+        same few thousand of them, so each distinct value (by bit
+        pattern, which keeps -0.0 apart from 0.0) becomes one Python
+        float that all lists share: the view then costs a list slot per
+        point rather than a float object per point.
+        """
+        bits = np.concatenate((self.lds, self.eas)).view(np.int64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        shared = np.array(distinct.view(np.float64).tolist(), dtype=object)
+        values = shared[inverse]
+        lds = values[: self.lds.size].tolist()
+        eas = values[self.lds.size :].tolist()
+        offsets = self.offsets.tolist()
+        roster = self.roster
+        final: Dict[Node, DeliveryFunction] = {}
+        snapshots: Dict[int, Dict[Node, DeliveryFunction]] = {
+            bound: {} for bound in self.hop_bounds
+        }
+        new = DeliveryFunction.__new__
+        for tag, dest, lo, hi in zip(
+            self.tags.tolist(), self.dests.tolist(), offsets, offsets[1:]
+        ):
+            # List slices are fresh lists the function can own.
+            func = new(DeliveryFunction)
+            func.lds = lds[lo:hi]
+            func.eas = eas[lo:hi]
+            (final if tag == FINAL_TAG else snapshots[tag])[roster[dest]] = func
+        self._snap_funcs = snapshots
+        self._final_funcs = final
+        return final
+
+    @property
+    def _final(self) -> Dict[Node, DeliveryFunction]:
+        """Destination -> unbounded-hop delivery function."""
+        final = self._final_funcs
+        return self._materialise() if final is None else final
+
+    @property
+    def _snapshots(self) -> Dict[int, Dict[Node, DeliveryFunction]]:
+        """Per recorded bound, destination -> function of that snapshot."""
+        if self._final_funcs is None:
+            self._materialise()
+        return self._snap_funcs
 
     def profile(
         self, destination: Node, max_hops: Optional[int] = None
@@ -197,24 +339,30 @@ class SourceProfiles:
         it is at least the fixpoint round count, in which case the bound
         is vacuous and the final profile is returned.
         """
+        final = self._final_funcs
+        if final is None:
+            final = self._materialise()
         if max_hops is None or max_hops >= self.rounds:
-            return self._final.get(destination, self._empty)
-        if max_hops not in self._snapshots:
+            return final.get(destination, self._empty)
+        snapshots = self._snap_funcs
+        if max_hops not in snapshots:
             raise KeyError(
                 f"hop bound {max_hops} was not recorded; available: "
-                f"{sorted(self._snapshots)} (or None for unbounded)"
+                f"{sorted(snapshots)} (or None for unbounded)"
             )
-        for bound in sorted(self._snapshots, reverse=True):
+        for bound in sorted(snapshots, reverse=True):
             if bound > max_hops:
                 continue
-            snap = self._snapshots[bound].get(destination)
+            snap = snapshots[bound].get(destination)
             if snap is not None:
                 return snap
         return self._empty
 
     def destinations(self) -> Sequence[Node]:
         """Destinations reachable (within unbounded hops) from the source."""
-        return sorted(self._final, key=repr)
+        finals = int(np.searchsorted(self.tags, FINAL_TAG, side="right"))
+        roster = self.roster
+        return [roster[d] for d in self.dests[:finals].tolist()]
 
     def bound_profiles(
         self,
@@ -256,6 +404,8 @@ class SourceProfiles:
 
 def _run_single_source(
     adjacency: _Adjacency,
+    roster: Sequence[Node],
+    node_index: Dict[Node, int],
     source: Node,
     hop_bounds: Tuple[int, ...],
     max_rounds: Optional[int],
@@ -267,7 +417,8 @@ def _run_single_source(
     ``collect_stats`` gathers :class:`ProfileStats`; the counters are
     either derived from structures the loop maintains anyway (queue and
     bucket lengths) or guarded so the disabled mode adds no work to the
-    innermost contact scan.
+    innermost contact scan.  ``roster``/``node_index`` are the network's
+    node list and its inverse, which the result's columns index.
     """
     stats = ProfileStats() if collect_stats else None
     stat_scanned = 0
@@ -438,7 +589,9 @@ def _run_single_source(
         stats.suffix_min_prunes = stat_pruned
         stats.frontier_points = sum(len(func.lds) for func in final.values())
         stats.destinations = len(final)
-    return SourceProfiles(source, hop_bounds, snapshots, final, rounds_run, stats)
+    return SourceProfiles.from_functions(
+        source, hop_bounds, roster, node_index, snapshots, final, rounds_run, stats
+    )
 
 
 class PathProfileSet:
@@ -615,9 +768,17 @@ def compute_profiles(
                 by_source = dict(zip(chosen, profiles))
             else:
                 adjacency = _adjacency_for(network)
+                node_index = _node_index_for(network)
                 by_source = {
                     source: _run_single_source(
-                        adjacency, source, bounds, max_rounds, slack, collect
+                        adjacency,
+                        network.nodes,
+                        node_index,
+                        source,
+                        bounds,
+                        max_rounds,
+                        slack,
+                        collect,
                     )
                     for source in chosen
                 }

@@ -7,10 +7,13 @@ start times.  The straightforward implementation walks every pair once
 x pairs) snapshot walks plus O(|segments| x |grid|) arithmetic.  This
 module replaces both loops:
 
-* :func:`build_segment_table` makes ONE traversal over the per-source
-  profiles, resolving every destination under *all* requested hop bounds
-  at once (:meth:`SourceProfiles.bound_profiles`) and collecting the
-  window-clipped ``(seg_beg, seg_end, arrival)`` pieces per bound.
+* :func:`build_segment_table` reads the profile columns of
+  :class:`~repro.core.optimal.SourceProfiles` directly: per requested
+  hop bound it resolves every (source, destination) pair to one function
+  row with two ``searchsorted`` lookups (the final profile, or the
+  carry-forward snapshot at the latest recorded bound at or below it)
+  and gathers the rows' points into window-clipped
+  ``(seg_beg, seg_end, arrival)`` pieces — no per-pair Python work.
 
 * Each bound's pieces feed a numpy kernel.  A piece contributes
   ``max(0, seg_end - max(seg_beg, arrival - d))`` start-time measure at
@@ -39,7 +42,8 @@ import numpy as np
 
 from ..obs import get_obs
 from .contact import Node
-from .optimal import PathProfileSet
+from .engine_vec import _ragged_arange
+from .optimal import FINAL_TAG, PathProfileSet, SourceProfiles, _node_index_for
 
 __all__ = ["SegmentTable", "build_segment_table"]
 
@@ -147,6 +151,65 @@ def _group_pairs_by_source(
     return by_source, count
 
 
+class _Columns:
+    """The profile columns of the queried sources, concatenated, with
+    the two lookup keys the per-bound resolution searches:
+
+    * finals by ``slot * N + dest`` (already sorted: slots ascend and
+      each source's finals are in destination order);
+    * snapshots by ``(slot * N + dest) * R + rank(tag)`` with R the
+      number of distinct recorded bounds, sorted, so the last key at or
+      below a query's ``rank(bound)`` is the carry-forward snapshot.
+    """
+
+    def __init__(self, sps: List[SourceProfiles], num_nodes: int) -> None:
+        recorded = sorted({bound for sp in sps for bound in sp.hop_bounds})
+        self.recorded = np.asarray(recorded, dtype=np.int64)
+        self.width = max(1, len(recorded))
+        functions = [sp.tags.size for sp in sps]
+        tags = np.concatenate([sp.tags for sp in sps]).astype(np.int64)
+        slots = np.repeat(np.arange(len(sps), dtype=np.int64), functions)
+        row = slots * num_nodes + np.concatenate([sp.dests for sp in sps])
+        point_base = np.zeros(len(sps), dtype=np.int64)
+        np.cumsum([sp.lds.size for sp in sps[:-1]], out=point_base[1:])
+        self.starts = np.concatenate([sp.offsets[:-1] for sp in sps]) + np.repeat(
+            point_base, functions
+        )
+        self.counts = np.concatenate([np.diff(sp.offsets) for sp in sps])
+        self.lds = np.concatenate([sp.lds for sp in sps])
+        self.eas = np.concatenate([sp.eas for sp in sps])
+        is_final = tags == FINAL_TAG
+        self.final_rows = np.flatnonzero(is_final)
+        self.final_keys = row[self.final_rows]
+        snap_rows = np.flatnonzero(~is_final)
+        snap_keys = row[snap_rows] * self.width + np.searchsorted(
+            self.recorded, tags[snap_rows]
+        )
+        order = np.argsort(snap_keys, kind="stable")
+        self.snap_rows = snap_rows[order]
+        self.snap_keys = snap_keys[order]
+
+    def final(self, keys: np.ndarray) -> np.ndarray:
+        """Function row of each (slot * N + dest) key's final, or -1."""
+        rows = np.full(keys.size, -1, dtype=np.int64)
+        pos = np.searchsorted(self.final_keys, keys)
+        found = pos < self.final_keys.size
+        found[found] = self.final_keys[pos[found]] == keys[found]
+        rows[found] = self.final_rows[pos[found]]
+        return rows
+
+    def snapshot(self, keys: np.ndarray, bound: int) -> np.ndarray:
+        """Function row of each key's latest snapshot at or below
+        ``bound`` (a recorded bound), or -1."""
+        rank = int(np.searchsorted(self.recorded, bound))
+        rows = np.full(keys.size, -1, dtype=np.int64)
+        pos = np.searchsorted(self.snap_keys, keys * self.width + rank, side="right") - 1
+        found = pos >= 0
+        found[found] = self.snap_keys[pos[found]] // self.width == keys[found]
+        rows[found] = self.snap_rows[pos[found]]
+        return rows
+
+
 def build_segment_table(
     profiles: PathProfileSet,
     bounds: Sequence[BoundKey],
@@ -161,6 +224,12 @@ def build_segment_table(
         window: start-time observation window; defaults to the trace span.
         pairs: restrict to these ordered (source, destination) pairs;
             default all ordered pairs over the computed sources.
+
+    Each bound's segments are gathered straight from the profile columns,
+    pair by pair in query order (sources in order, each source's
+    destinations in order): exactly the order a walk over the per-pair
+    delivery functions would append them, so every downstream float sum
+    is bit-identical to that walk.
     """
     if window is None:
         window = profiles.network.span
@@ -170,48 +239,58 @@ def build_segment_table(
     with obs.span(
         "engine.segment_table", bounds=len(query)
     ) as span, obs.timer("engine.segment_table"):
+        num_nodes = len(profiles.network.nodes)
+        node_ids = _node_index_for(profiles.network)
         if pairs is None:
-            by_source = {
-                source: [d for d in profiles.network.nodes if d != source]
-                for source in profiles.sources
-            }
-            num_pairs = sum(len(dests) for dests in by_source.values())
+            sources = list(profiles.sources)
+            source_ids = np.asarray([node_ids[s] for s in sources], dtype=np.int64)
+            # Every other roster node, in roster order, for each source.
+            everyone = np.tile(np.arange(num_nodes, dtype=np.int64), len(sources))
+            slot_of = np.repeat(np.arange(len(sources), dtype=np.int64), num_nodes)
+            keep = everyone != source_ids[slot_of]
+            pair_dest, pair_slot = everyone[keep], slot_of[keep]
+            num_pairs = int(pair_dest.size)
         else:
             by_source, num_pairs = _group_pairs_by_source(pairs)
+            sources = list(by_source)
+            pair_dest = np.asarray(
+                [node_ids.get(d, -1) for dests in by_source.values() for d in dests],
+                dtype=np.int64,
+            )
+            pair_slot = np.repeat(
+                np.arange(len(sources), dtype=np.int64),
+                [len(dests) for dests in by_source.values()],
+            )
+        sps = [profiles.source_profiles(source) for source in sources]
+        # A bound below a source's fixpoint must be recorded: the same
+        # KeyError SourceProfiles.profile raises.
+        for bound in query:
+            for sp in sps:
+                if bound is not None and bound < sp.rounds and bound not in sp.hop_bounds:
+                    raise KeyError(
+                        f"hop bound {bound} was not recorded; available: "
+                        f"{sorted(sp.hop_bounds)} (or None for unbounded)"
+                    )
 
-        # A frontier (LD_1..LD_n, EA_1..EA_n) contributes the pieces
-        # (prev LD, LD_i, EA_i] with prev starting at -inf, so seg_end is
-        # the LD array, seg_beg its shift, and arrival the EA array.  Each
-        # distinct DeliveryFunction is converted to numpy once (the same
-        # object commonly backs several bounds) and each bound assembles
-        # its pieces by concatenation — no per-segment Python work.
-        converted: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        acc: Dict[BoundKey, Tuple[List[np.ndarray], List[np.ndarray], List[int]]] = {
-            bound: ([], [], []) for bound in query
-        }
-        for source, destinations in by_source.items():
-            sp = profiles.source_profiles(source)
-            for _dest, funcs in sp.bound_profiles(destinations, query):
-                for bound, func in zip(query, funcs):
-                    lds = func.lds
-                    if not lds:
-                        continue
-                    key = id(func)
-                    arrays = converted.get(key)
-                    if arrays is None:
-                        arrays = converted[key] = (
-                            np.asarray(lds, dtype=float),
-                            np.asarray(func.eas, dtype=float),
-                        )
-                    ends, arrs, lens = acc[bound]
-                    ends.append(arrays[0])
-                    arrs.append(arrays[1])
-                    lens.append(len(lds))
-
-        raw = {
-            bound: _assemble_bound(ends, arrs, lens, t0, t1)
-            for bound, (ends, arrs, lens) in acc.items()
-        }
+        raw: Dict[BoundKey, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        if pair_dest.size == 0:
+            empty = (np.empty(0), np.empty(0), np.empty(0))
+            raw = {bound: empty for bound in query}
+        else:
+            cols = _Columns(sps, num_nodes)
+            keys = pair_slot * num_nodes + pair_dest
+            known = pair_dest >= 0
+            pair_rounds = np.asarray([sp.rounds for sp in sps], dtype=np.int64)[pair_slot]
+            final_rows = cols.final(keys)
+            for bound in query:
+                # The final profile where the bound is vacuous (None or
+                # at/past the source's fixpoint), else the snapshot.
+                rows = final_rows
+                if bound is not None and bool((pair_rounds > bound).any()):
+                    rows = np.where(
+                        pair_rounds > bound, cols.snapshot(keys, bound), final_rows
+                    )
+                raw[bound] = _assemble_bound(cols, rows[known], t0, t1)
         if obs.enabled:
             total = sum(len(beg) for beg, _, _ in raw.values())
             span.set(segments=total, pairs=num_pairs)
@@ -220,24 +299,29 @@ def build_segment_table(
 
 
 def _assemble_bound(
-    ends: List[np.ndarray],
-    arrs: List[np.ndarray],
-    lens: List[int],
-    t0: float,
-    t1: float,
+    cols: _Columns, rows: np.ndarray, t0: float, t1: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate one bound's per-function pieces and clip to the window."""
-    if not ends:
+    """Gather one bound's functions' points in row order and clip them.
+
+    A frontier (LD_1..LD_n, EA_1..EA_n) contributes the pieces
+    (prev LD, LD_i, EA_i] with prev starting at -inf, so seg_end is the
+    LD column, seg_beg its shift, and arrival the EA column.
+    """
+    rows = rows[rows >= 0]
+    counts = cols.counts[rows]
+    nonempty = counts > 0
+    rows, counts = rows[nonempty], counts[nonempty]
+    if rows.size == 0:
         return (np.empty(0), np.empty(0), np.empty(0))
-    end = np.concatenate(ends)
-    arr = np.concatenate(arrs)
+    _, points = _ragged_arange(cols.starts[rows], counts)
+    end = cols.lds[points]
+    arr = cols.eas[points]
     beg = np.empty_like(end)
     beg[1:] = end[:-1]
     # The first piece of every function begins at -inf (clipped to t0).
-    lens_arr = np.asarray(lens, dtype=np.intp)
-    offsets = np.zeros_like(lens_arr)
-    np.cumsum(lens_arr[:-1], out=offsets[1:])
-    beg[offsets] = -np.inf
+    firsts = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=firsts[1:])
+    beg[firsts] = -np.inf
     np.maximum(beg, t0, out=beg)
     end = np.minimum(end, t1)
     keep = end > beg

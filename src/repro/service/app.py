@@ -58,7 +58,7 @@ import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Collection, Dict, List, Optional, Tuple, Type
+from typing import Any, Collection, Dict, List, Optional, Tuple, Type, Union
 from urllib.parse import parse_qs, urlsplit
 
 from ..core.shards import shard_sources
@@ -1298,10 +1298,23 @@ class _Handler(BaseHTTPRequestHandler):
         # Request logging is a structured-logger concern, not stderr's.
         pass
 
-    def _read_body(self) -> Optional[bytes]:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_body(self) -> Union[bytes, Response]:
+        """The request body, or the error response for a bad length.
+
+        ``Content-Length`` must be plain decimal digits: a negative
+        value would make ``rfile.read`` wait for end-of-stream (the
+        handler hangs until the client gives up), and a non-number is a
+        client mistake, so both are 400s rather than a hang or a 5xx.
+        """
+        raw = self.headers.get("Content-Length")
+        text = (raw or "0").strip()
+        if not (text.isascii() and text.isdigit()):
+            return Response.error(
+                400, "bad-request", f"invalid Content-Length {raw!r}"
+            )
+        length = int(text)
         if length > self.service.config.max_body_bytes:
-            return None
+            return Response.error(413, "too-large", "request body too large")
         return self.rfile.read(length) if length else b""
 
     # -- routes ---------------------------------------------------------
@@ -1339,10 +1352,8 @@ class _Handler(BaseHTTPRequestHandler):
             for command in COMMANDS:
                 if self.path == f"/v1/{command}":
                     body = self._read_body()
-                    if body is None:
-                        return Response.error(
-                            413, "too-large", "request body too large"
-                        )
+                    if isinstance(body, Response):
+                        return body
                     return self.service.handle_query(
                         command, body, ctx=ctx, remote_parent=remote_parent
                     )

@@ -1,6 +1,8 @@
 """Structured failure paths: degenerate traces, unreachable servers."""
 
+import json
 import socket
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -40,6 +42,54 @@ class TestDegenerateTrace:
         response = client.diameter(str(point))
         assert response.status == 400
         assert "zero length" in response.json()["error"]["message"]
+
+
+def _raw_post(base_url, content_length):
+    """POST /v1/delay-cdf over a bare socket with a hand-written
+    ``Content-Length``; returns (status, parsed JSON body, headers).
+
+    The socket timeout bounds the wait, so a handler that blocks on the
+    body fails the test instead of hanging it.
+    """
+    host, port = urlsplit(base_url).hostname, urlsplit(base_url).port
+    request = (
+        f"POST /v1/delay-cdf HTTP/1.1\r\nHost: {host}\r\n"
+        f"Content-Length: {content_length}\r\n"
+        "Content-Type: application/json\r\n\r\n{}"
+    ).encode("ascii")
+    with socket.create_connection((host, port), timeout=10.0) as conn:
+        conn.sendall(request)
+        chunks = []
+        while True:
+            chunk = conn.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    status = int(lines[0].split()[1])
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return status, json.loads(body), headers
+
+
+class TestContentLength:
+    """A malformed ``Content-Length`` is a client mistake: 400, with the
+    trace id, answered at once rather than after the client hangs up."""
+
+    def test_negative_length_answers_400(self, service_factory):
+        _service, client, _ = service_factory()
+        status, document, headers = _raw_post(client.base_url, "-1")
+        assert status == 400
+        assert document["error"]["type"] == "bad-request"
+        assert document["trace_id"] == headers["X-Repro-Trace"]
+
+    def test_non_numeric_length_answers_400(self, service_factory):
+        _service, client, _ = service_factory()
+        status, document, headers = _raw_post(client.base_url, "abc")
+        assert status == 400
+        assert document["error"]["type"] == "bad-request"
+        assert "Content-Length" in document["error"]["message"]
+        assert document["trace_id"] == headers["X-Repro-Trace"]
 
 
 class TestUnreachableService:

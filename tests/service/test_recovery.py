@@ -61,6 +61,37 @@ def _spec(trace, priority="interactive", shards=1, grid_points=8):
     )
 
 
+def _live_group_members(pgid):
+    """Pids of the non-zombie processes in process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as stream:
+                stat = stream.read()
+        except OSError:
+            continue  # exited while scanning
+        # Fields after the parenthesised command: state, ppid, pgrp, ...
+        fields = stat.rsplit(")", 1)[1].split()
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(entry))
+    return members
+
+
+def _kill_group(pgid):
+    """SIGKILL every process of ``pgid`` and wait until none is left."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    _wait_until(
+        lambda: not _live_group_members(pgid),
+        timeout_s=10.0,
+        message=f"process group {pgid} to exit",
+    )
+
+
 def _wait_until(predicate, timeout_s=30.0, message="condition"):
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
@@ -112,6 +143,10 @@ class TestKillAndRestart:
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             text=True,
+            # Its own process group, so the pool worker the server forks
+            # can be found and killed with it: killing the server alone
+            # leaves the worker re-parented and running.
+            start_new_session=True,
         )
         try:
             assert proc.stdout is not None
@@ -149,6 +184,8 @@ class TestKillAndRestart:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10.0)
+            _kill_group(proc.pid)
+        assert _live_group_members(proc.pid) == []
 
         state = replay(journal)
         assert len(state.unfinished()) == 1

@@ -75,9 +75,18 @@ class TestBenchDir:
             va.validate_bench_dir(tmp_path)
 
 
-def _cached_payload(counters):
-    metrics = {"counters": counters, "gauges": {}, "histograms": {}, "timers": {}}
+def _cached_payload(counters, timers=None):
+    metrics = {
+        "counters": counters,
+        "gauges": {},
+        "histograms": {},
+        "timers": timers or {},
+    }
     return _bench_payload(metrics=metrics)
+
+
+def _wall(seconds):
+    return {"wall_count": 1, "wall_sum": seconds, "cpu_sum": seconds}
 
 
 class TestCacheRerun:
@@ -118,6 +127,38 @@ class TestCacheRerun:
         )
         with pytest.raises(va.ValidationError, match="invalidated"):
             va.validate_cache_rerun(cold, warm)
+
+    def _timed_pair(self, tmp_path, hit_s, compute_s):
+        cold = _write(
+            tmp_path / "cold.json",
+            _cached_payload(
+                {"profiles.cache.miss": 6},
+                {"profiles.cache.compute_s": _wall(compute_s)},
+            ),
+        )
+        warm = _write(
+            tmp_path / "warm.json",
+            _cached_payload(
+                {"profiles.cache.hit": 6},
+                {"profiles.cache.hit_s": _wall(hit_s)},
+            ),
+        )
+        return cold, warm
+
+    def test_cheap_hits_pass_the_ratio_gate(self, tmp_path):
+        cold, warm = self._timed_pair(tmp_path, hit_s=0.05, compute_s=1.0)
+        lines = va.validate_cache_rerun(cold, warm, max_hit_ratio=0.25)
+        ratio_line = next(line for line in lines if "hit/compute" in line)
+        assert "0.0500" in ratio_line
+        assert "cold compute 1.0000 s" in ratio_line
+
+    def test_costly_hits_fail_the_ratio_gate(self, tmp_path):
+        cold, warm = self._timed_pair(tmp_path, hit_s=0.5, compute_s=1.0)
+        with pytest.raises(va.ValidationError, match="cost too much"):
+            va.validate_cache_rerun(cold, warm, max_hit_ratio=0.25)
+        # The CLI exits 1 and the ratio is reported with its base.
+        argv = ["cache-rerun", str(cold), str(warm), "--max-hit-ratio", "0.25"]
+        assert va.main(argv) == 1
 
     def test_nonzero_exit_code_fails(self, tmp_path):
         cold = _write(
